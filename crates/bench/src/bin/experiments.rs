@@ -449,19 +449,6 @@ fn e9_locks(ctx: &mut Ctx) {
         })
         .collect();
     row("std::sync::Mutex", &std_cells);
-
-    let pl_cells: Vec<f64> = THREAD_SWEEP
-        .iter()
-        .map(|&t| {
-            let w = Workload::ops_only(t, ctx.scale.ops / t);
-            let lock = Arc::new(parking_lot::Mutex::new(0u64));
-            let stats = lock_run(t, w.ops_per_thread, ctx.warm, move || {
-                *lock.lock() += 1;
-            });
-            ctx.record("e9", "parking_lot::Mutex", &w, &stats)
-        })
-        .collect();
-    row("parking_lot::Mutex", &pl_cells);
 }
 
 fn e10_reclamation(ctx: &mut Ctx) {

@@ -4,12 +4,11 @@
 //! E1–E10) and emits the machine-readable `BENCH_experiments.json`
 //! measurement file: workload generators, a thread-sweep driver with
 //! per-thread latency histograms, warmup with steady-state detection, and
-//! helpers shared by the Criterion benches (`benches/`) and the
-//! [`experiments`](../src/bin/experiments.rs) binary:
+//! the run drivers behind the [`experiments`](../src/bin/experiments.rs)
+//! binary, the workspace's one performance entrypoint:
 //!
 //! ```text
 //! cargo run -p cds-bench --release --bin experiments -- all --quick --json BENCH_experiments.json
-//! cargo bench -p cds-bench --bench lists
 //! ```
 //!
 //! Methodology (standard for the literature): prefill the structure with
@@ -75,7 +74,7 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// A small default suitable for Criterion iterations.
+    /// A small default workload.
     pub fn small(threads: usize) -> Self {
         Workload {
             threads,
@@ -252,7 +251,7 @@ impl Warmup {
         }
     }
 
-    /// No warmup at all (Criterion benches do their own).
+    /// No warmup at all.
     pub fn none() -> Self {
         Warmup {
             max_iters: 0,
@@ -624,65 +623,6 @@ where
     measured_run(w, warm, |_, _| (), move |_: &mut ()| lock_incr())
 }
 
-/// Runs a read/insert/remove mix against a set; returns Mops/s.
-pub fn set_throughput<S>(set: Arc<S>, w: Workload) -> f64
-where
-    S: ConcurrentSet<u64> + 'static,
-{
-    set_run(set, w, Warmup::none()).mops
-}
-
-/// Runs a get/insert/remove mix against a map; returns Mops/s.
-pub fn map_throughput<M>(map: Arc<M>, w: Workload) -> f64
-where
-    M: ConcurrentMap<u64, u64> + 'static,
-{
-    map_run(map, w, Warmup::none()).mops
-}
-
-/// Runs a 50/50 push/pop mix against a stack; returns Mops/s.
-pub fn stack_throughput<S>(stack: Arc<S>, w: Workload) -> f64
-where
-    S: ConcurrentStack<u64> + 'static,
-{
-    stack_run(stack, w, Warmup::none()).mops
-}
-
-/// Runs a 50/50 enqueue/dequeue mix against a queue; returns Mops/s.
-pub fn queue_throughput<Q>(queue: Arc<Q>, w: Workload) -> f64
-where
-    Q: ConcurrentQueue<u64> + 'static,
-{
-    queue_run(queue, w, Warmup::none()).mops
-}
-
-/// Runs increment-only traffic against a counter; returns Mops/s.
-pub fn counter_throughput<C>(counter: Arc<C>, w: Workload) -> f64
-where
-    C: ConcurrentCounter + 'static,
-{
-    counter_run(counter, w, Warmup::none()).mops
-}
-
-/// Runs a 50/50 insert/remove-min mix against a priority queue; returns
-/// Mops/s.
-pub fn pq_throughput<P>(pq: Arc<P>, w: Workload) -> f64
-where
-    P: ConcurrentPriorityQueue<u64> + 'static,
-{
-    pq_run(pq, w, Warmup::none()).mops
-}
-
-/// Lock acquisition throughput: `threads` threads repeatedly lock, bump a
-/// shared counter, and unlock. `lock_incr` performs exactly one
-/// lock-protected increment. Returns M acquisitions/s.
-pub fn lock_throughput<F>(threads: usize, ops_per_thread: usize, lock_incr: F) -> f64
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    lock_run(threads, ops_per_thread, Warmup::none(), lock_incr).mops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,9 +661,9 @@ mod tests {
     }
 
     #[test]
-    fn set_throughput_reports_positive_rate() {
+    fn set_run_reports_positive_rate() {
         let set = Arc::new(cds_list::LazyList::new());
-        let mops = set_throughput(
+        let mops = set_run(
             set,
             Workload {
                 threads: 2,
@@ -733,14 +673,16 @@ mod tests {
                 insert_pct: 25,
                 prefill: 32,
             },
-        );
+            Warmup::none(),
+        )
+        .mops;
         assert!(mops > 0.0);
     }
 
     #[test]
-    fn counter_throughput_counts_everything() {
+    fn counter_run_counts_everything() {
         let c = Arc::new(cds_counter::AtomicCounter::new());
-        let mops = counter_throughput(Arc::clone(&c), Workload::ops_only(2, 5_000));
+        let mops = counter_run(Arc::clone(&c), Workload::ops_only(2, 5_000), Warmup::none()).mops;
         assert!(mops > 0.0);
         use cds_core::ConcurrentCounter;
         assert_eq!(c.get(), 10_000);

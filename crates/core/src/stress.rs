@@ -1,8 +1,9 @@
 //! PCT-style deterministic stress scheduling hooks.
 //!
 //! The structure crates are instrumented with [`yield_point`] calls at
-//! their interesting interleaving points — lock acquisitions (via the
-//! `parking_lot` shim), CAS retry loops, and publication points. In a
+//! their interesting interleaving points — lock acquisitions (via
+//! `cds_sync::Mutex`, whose `lock` reaches this module through the
+//! `cds_sync::stress` hook), CAS retry loops, and publication points. In a
 //! normal build the hook compiles to an empty inline function and costs
 //! nothing. With the `stress` feature enabled *and* a scheduler installed,
 //! the hooks become preemption points under a randomized
@@ -64,6 +65,14 @@ impl SplitMix64 {
     /// Creates a stream from `seed`.
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
+    }
+
+    /// Creates a stream seeded from `std`'s random hasher keys, which
+    /// differ per thread and per process: for draws that need no replay,
+    /// such as skiplist tower heights.
+    pub fn from_entropy() -> Self {
+        use std::hash::{BuildHasher, Hasher, RandomState};
+        SplitMix64::new(RandomState::new().build_hasher().finish())
     }
 
     /// Next uniform 64-bit value.

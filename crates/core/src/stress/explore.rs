@@ -95,8 +95,9 @@ pub struct ExploreBounds {
     /// the C11-permitted read-from candidates (see
     /// [`super::weak`](super::weak) module docs). Only meaningful for
     /// targets whose synchronization goes entirely through
-    /// `cds-atomic`; lock-based structures synchronize through the
-    /// `parking_lot` shim, which the model cannot see.
+    /// `cds-atomic`. That includes the lock-based structures: their
+    /// `cds_sync::Mutex` is a TTAS lock on a facade atomic, so the
+    /// model sees its acquire and release edges.
     pub weak_memory: bool,
     /// With `weak_memory`: a load may read one of at most this many of
     /// the newest stores to its location (the staleness search bound).
@@ -502,7 +503,15 @@ pub(super) fn deregister(slot: usize) -> bool {
 /// The explore-mode yield point: pause, hand the scheduler the access
 /// tag for the next step, and wait to be granted that step. Panics with
 /// [`ExploreAbort`] when the execution is aborted.
+///
+/// A thread that is already unwinding passes straight through: the
+/// destructors of an aborted execution (a lock guard's release store,
+/// say) run unscheduled, since pausing them could only panic a second
+/// time and abort the process.
 pub(super) fn on_yield(slot: usize, tag: YieldTag) {
+    if std::thread::panicking() {
+        return;
+    }
     {
         let mut guard = exp_lock();
         let Some(st) = guard.as_mut() else { return };
@@ -568,10 +577,12 @@ static ATOMIC_HOOKS: cds_atomic::stress::AtomicHooks = cds_atomic::stress::Atomi
 /// The registered slot of the calling thread, when a weak window is
 /// active. `None` short-circuits every hook for unregistered threads
 /// (the driver doing setup/teardown runs at real-memory semantics,
-/// which is correct: real memory always holds the latest value).
+/// which is correct: real memory always holds the latest value) and for
+/// threads unwinding out of an aborted execution, whose destructor steps
+/// go unmodelled like their unscheduled yields (see [`on_yield`]).
 #[inline]
 fn weak_slot() -> Option<usize> {
-    if !WEAK_ON.load(Ordering::Acquire) {
+    if !WEAK_ON.load(Ordering::Acquire) || std::thread::panicking() {
         return None;
     }
     super::current_slot()

@@ -1,7 +1,7 @@
 use std::fmt;
 
 use cds_core::ConcurrentCounter;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// A mutex-protected counter: the coarse-grained baseline of experiment E1.
 ///

@@ -3,9 +3,9 @@
 //! Three fault classes from the Rust-concurrency failure catalogue
 //! (Saligrama et al.) are covered:
 //!
-//! * **Poisoned-lock recovery** — the workspace's `parking_lot` shim
-//!   recovers the inner `std` lock when a holder panics, matching real
-//!   `parking_lot`'s non-poisoning semantics. [`crash_worker`] drives a
+//! * **Crashed lock holders** — `cds_sync::Mutex`, which every
+//!   lock-based structure uses, does not poison: a holder that panics
+//!   releases the lock while its guard unwinds. [`crash_worker`] drives a
 //!   worker that dies mid-operation so tests can assert the structure
 //!   stays usable afterwards.
 //! * **Forced backoff** — configure
@@ -97,9 +97,9 @@ impl StormHandle {
 /// returns `true` if the worker panicked.
 ///
 /// The canonical use is planting a panic *inside* a lock-based
-/// structure's critical section (or while holding a `parking_lot` shim
-/// guard) and then asserting the structure still works — the shim's
-/// poisoned-lock recovery is what makes that pass.
+/// structure's critical section (or while holding a `cds_sync::Mutex`
+/// guard) and then asserting the structure still works — the guard
+/// releasing the lock during unwinding is what makes that pass.
 pub fn crash_worker<T>(target: &T, f: impl FnOnce(&T) + Send) -> bool
 where
     T: Sync,

@@ -1,9 +1,9 @@
 //! Executable linearizability checking (Herlihy & Wing, 1990).
 //!
-//! Linearizability is the correctness criterion for every structure in
+//! Linearizability is the correctness condition for every structure in
 //! this family: each operation must appear to take effect atomically at
 //! some instant between its invocation and its response. This crate makes
-//! the criterion *executable* for the test suite:
+//! the condition *executable* for the test suite:
 //!
 //! 1. wrap concurrent calls in a [`Recorder`], which timestamps each
 //!    operation's invocation and response with a global atomic clock;
@@ -43,8 +43,8 @@
 //! * [`stress`] drives whole structures through seeded, PCT-style
 //!   scheduled rounds (`cds_core::stress`) and re-prints the seed of any
 //!   failing schedule so it can be replayed deterministically.
-//! * [`faults`] injects contention storms and forced backoff, and the
-//!   workspace's `parking_lot` shim performs poisoned-lock recovery so
+//! * [`faults`] injects contention storms and forced backoff, and crashes
+//!   workers mid-operation; `cds_sync::Mutex` does not poison, so
 //!   lock-based structures can be tested across worker panics.
 //! * [`shrink_history`] minimizes a failing window to a locally minimal
 //!   non-linearizable sub-history before it is reported.

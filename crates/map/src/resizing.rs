@@ -6,7 +6,7 @@ use cds_core::ConcurrentMap;
 use cds_reclaim::epoch::{Atomic, Guard, Owned, Shared};
 use cds_reclaim::{Ebr, ReclaimGuard, Reclaimer};
 use cds_sync::Backoff;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// Default shard count (power of two).
 const SHARDS: usize = 8;

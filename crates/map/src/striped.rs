@@ -4,7 +4,7 @@ use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 
 use cds_core::ConcurrentMap;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// A hash map with **lock striping** and an all-stripe resize
 /// (Herlihy & Shavit ch. 13).

@@ -2,7 +2,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use cds_core::ConcurrentQueue;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 /// A coarse-grained lock-based queue: a `VecDeque` behind one mutex.
 ///

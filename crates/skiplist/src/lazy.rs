@@ -6,7 +6,7 @@ use std::ptr;
 use cds_core::{Bound, ConcurrentSet};
 use cds_reclaim::epoch::{self, Atomic, Guard, Owned, Shared};
 use cds_sync::Backoff;
-use parking_lot::Mutex;
+use cds_sync::Mutex;
 
 use crate::level::random_level;
 use crate::HEIGHT;

@@ -1,13 +1,12 @@
 //! Random tower-height generation shared by all skiplist variants.
 
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use cds_core::stress::SplitMix64;
 use std::cell::RefCell;
 
 use crate::HEIGHT;
 
 thread_local! {
-    static RNG: RefCell<SmallRng> = RefCell::new(SmallRng::from_entropy());
+    static RNG: RefCell<SplitMix64> = RefCell::new(SplitMix64::from_entropy());
 }
 
 /// Draws a tower top level in `0..HEIGHT` with the geometric distribution
@@ -24,8 +23,7 @@ pub(crate) fn random_level() -> usize {
 /// Draws a value in `0..n` (used by tests needing shuffles).
 #[cfg(test)]
 pub(crate) fn random_below(n: usize) -> usize {
-    use rand::Rng;
-    RNG.with(|rng| rng.borrow_mut().gen_range(0..n))
+    RNG.with(|rng| rng.borrow_mut().below(n as u64) as usize)
 }
 
 #[cfg(test)]

@@ -67,25 +67,14 @@ impl<T> EliminationArray<T> {
     }
 
     fn random_slot(&self) -> &AtomicPtr<Offer<T>> {
-        // Cheap thread-local xorshift; quality does not matter, decorrelation
-        // across threads does.
-        use std::cell::Cell;
+        // Quality does not matter, decorrelation across threads does.
+        use cds_core::stress::SplitMix64;
+        use std::cell::RefCell;
         thread_local! {
-            static SEED: Cell<u64> = const { Cell::new(0) };
+            static RNG: RefCell<SplitMix64> = RefCell::new(SplitMix64::from_entropy());
         }
-        let r = SEED.with(|seed| {
-            let mut s = seed.get();
-            if s == 0 {
-                // Derive an initial seed from the address of a stack slot.
-                s = &s as *const _ as u64 | 1;
-            }
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            seed.set(s);
-            s
-        });
-        &self.slots[(r as usize) % self.slots.len()]
+        let n = self.slots.len() as u64;
+        &self.slots[RNG.with(|rng| rng.borrow_mut().below(n)) as usize]
     }
 
     /// Offers `value` to a popper, spinning for `spins` iterations.

@@ -18,7 +18,8 @@
 //! All mutual-exclusion locks implement the [`RawLock`] trait so that client
 //! code (and the benchmark harness) can be generic over the locking
 //! discipline, and the [`Lock`] wrapper turns any [`RawLock`] into a
-//! data-carrying, RAII-guarded mutex.
+//! data-carrying, RAII-guarded mutex. [`Mutex`] is `Lock<TtasLock, _>`:
+//! the one mutex the workspace's lock-based structures use.
 //!
 //! The crate also provides the low-level utilities the rest of the family
 //! relies on: [`Backoff`] (spin→yield escalation for contended CAS loops),
@@ -87,7 +88,7 @@ pub use barrier::SenseBarrier;
 pub use cache_padded::CachePadded;
 pub use clh::ClhLock;
 pub use flat::{FcStructure, FlatCombining};
-pub use lock::{Lock, LockGuard};
+pub use lock::{Lock, LockGuard, Mutex, MutexGuard};
 pub use mcs::McsLock;
 pub use parker::Parker;
 pub use raw::RawLock;

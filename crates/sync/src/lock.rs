@@ -2,7 +2,20 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
-use crate::RawLock;
+use crate::stress::{yield_point_tagged, YieldTag};
+use crate::{RawLock, TtasLock};
+
+/// The workspace's blocking mutex: the lock-based structures all take
+/// their locks through this alias, so the choice of lock algorithm is
+/// made once, here.
+///
+/// It does not poison. A holder that panics releases the lock while its
+/// guard unwinds, and the next [`lock`](Lock::lock) simply gets the
+/// value.
+pub type Mutex<T> = Lock<TtasLock, T>;
+
+/// RAII guard of a [`Mutex`].
+pub type MutexGuard<'a, T> = LockGuard<'a, TtasLock, T>;
 
 /// A data-carrying mutex generic over the locking discipline.
 ///
@@ -40,8 +53,17 @@ impl<L: RawLock, T> Lock<L, T> {
     }
 
     /// Acquires the lock, spinning until it is available.
+    ///
+    /// Under a stress scheduler this is two preemption points. The entry
+    /// point is tagged as a write of the raw lock, the same address the
+    /// raw lock tags its own spin steps with, so the explorer sees the
+    /// acquire and a waiter's recheck as dependent. The point after the
+    /// acquire is untagged: the step after it is the caller's critical
+    /// section, which may touch anything.
     pub fn lock(&self) -> LockGuard<'_, L, T> {
+        yield_point_tagged(YieldTag::Write(&self.raw as *const L as usize));
         let token = self.raw.lock();
+        yield_point_tagged(YieldTag::None);
         LockGuard {
             lock: self,
             token: Some(token),
@@ -53,6 +75,7 @@ impl<L: RawLock, T> Lock<L, T> {
     /// Returns `None` if the lock is held, or if the underlying raw lock
     /// does not support try-acquisition (see [`RawLock::try_lock`]).
     pub fn try_lock(&self) -> Option<LockGuard<'_, L, T>> {
+        yield_point_tagged(YieldTag::None);
         self.raw.try_lock().map(|token| LockGuard {
             lock: self,
             token: Some(token),
@@ -172,6 +195,27 @@ mod tests {
         let mut l = Lock::<TtasLock, i32>::new(1);
         *l.get_mut() += 1;
         assert_eq!(l.into_inner(), 2);
+    }
+
+    #[test]
+    fn lock_survives_a_holder_panicking() {
+        let m = Arc::new(crate::Mutex::new(7));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("die holding the lock");
+        })
+        .join();
+        assert_eq!(*m.lock(), 7);
+    }
+
+    #[test]
+    fn try_lock_is_none_while_held() {
+        let m = crate::Mutex::new(0);
+        let g = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(g);
+        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! crates do. Instead it exposes one registration point: when a stress
 //! scheduler is installed, `cds-core` registers its tagged yield entry
 //! here, and [`Backoff::spin`](crate::Backoff::spin) /
-//! [`Backoff::snooze`](crate::Backoff::snooze) route through it — so a
-//! retry loop that backs off during a contended resize migration is a
-//! real preemption point for schedules to exploit, not a scheduling
-//! blind spot.
+//! [`Backoff::snooze`](crate::Backoff::snooze) and
+//! [`Lock::lock`](crate::Lock::lock) route through it — so a retry loop
+//! that backs off during a contended resize migration, or a lock-based
+//! structure taking its [`Mutex`](crate::Mutex), is a real preemption
+//! point for schedules to exploit, not a scheduling blind spot.
 //!
 //! Each yield point may carry a [`YieldTag`] describing the shared
 //! location the *next* step will touch. The PCT scheduler ignores tags;

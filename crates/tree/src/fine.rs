@@ -3,7 +3,7 @@ use std::fmt;
 use std::ptr;
 
 use cds_core::ConcurrentSet;
-use parking_lot::{Mutex, MutexGuard};
+use cds_sync::{Mutex, MutexGuard};
 
 use crate::TreeKey;
 

@@ -432,9 +432,9 @@ fn explore_bounded_queue_window_and_cap1_regression() {
 #[test]
 fn explore_two_lock_queue_window() {
     // Lock-based structure: the window explores every interleaving of the
-    // head/tail lock acquisitions (through the instrumented parking_lot
-    // shim), proving the two-lock protocol linearizable, not just
-    // deadlock-free.
+    // head/tail lock acquisitions (through the instrumented
+    // `cds_sync::Mutex`), proving the two-lock protocol linearizable, not
+    // just deadlock-free.
     let ops = [
         vec![QueueOp::Enqueue(1), QueueOp::Dequeue],
         vec![QueueOp::Enqueue(2)],
@@ -804,6 +804,36 @@ fn weak_bounded_queue_window() {
     )
     .unwrap_or_else(|f| panic!("weak bounded queue window not linearizable: {f:?}"));
     assert_pinned_capped("bounded_queue_weak", &report, &opts);
+}
+
+#[test]
+fn two_lock_queue_weak() {
+    // The first weak window over a lock-based structure: the flag of each
+    // `cds_sync::Mutex` is a facade atomic, so the model sees the lock's
+    // Acquire swap and Release unlock store beside the queue's own
+    // atomics, and checks that together they order the queue. Also the
+    // regression for an aborted execution unwinding through a critical
+    // section: the guard's unlock store must not re-enter the scheduler
+    // mid-unwind (that double panic aborted the process). The lock
+    // hand-offs branch on every stale read of the flag, so like the
+    // bounded-queue window this pins a deterministic DFS prefix.
+    let opts = ExploreOptions {
+        max_executions: 10_000,
+        ..weak_opts(false)
+    };
+    let ops = [
+        vec![QueueOp::Enqueue(1), QueueOp::Dequeue],
+        vec![QueueOp::Enqueue(2)],
+    ];
+    let report = explore(
+        QueueSpec::<u64>::default(),
+        &opts,
+        &ops,
+        cds_queue::TwoLockQueue::<u64>::new,
+        exec_queue,
+    )
+    .unwrap_or_else(|f| panic!("weak two-lock queue window not linearizable: {f:?}"));
+    assert_pinned_capped("two_lock_queue_weak", &report, &opts);
 }
 
 // ---------------------------------------------------------------------

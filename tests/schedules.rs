@@ -3,7 +3,7 @@
 //! These tests build with the `stress` feature live (the root crate
 //! dev-depends on itself with `features = ["stress"]`), so every
 //! `cds_core::stress::yield_point()` planted in the structures — and every
-//! lock acquisition through the `parking_lot` shim — is a real PCT-style
+//! lock acquisition through `cds_sync::Mutex` — is a real PCT-style
 //! preemption point. Each test runs seeded rounds via
 //! `cds_lincheck::stress::stress`; a failure prints a round seed that
 //! [`cds_lincheck::stress::replay`] reproduces deterministically.
@@ -630,19 +630,19 @@ fn forced_backoff_does_not_break_linearizability() {
     .unwrap_or_else(|f| panic!("two-lock queue under forced backoff: {f:?}"));
 }
 
-/// Poisoned-lock recovery: every lock-based structure goes through the
-/// `parking_lot` shim, which recovers the inner `std` lock when a holder
-/// panics (real `parking_lot` never poisons). A worker dying while holding
-/// the lock must not wedge or corrupt the structure.
+/// Crashed-holder recovery: every lock-based structure takes its locks
+/// through `cds_sync::Mutex`, which does not poison — a holder that
+/// panics releases the lock while its guard unwinds. A worker dying while
+/// holding the lock must not wedge or corrupt the structure.
 #[test]
 fn lock_based_structures_survive_a_crashed_worker() {
-    // Direct shim check: panic while holding the guard, then lock again.
-    let m = parking_lot::Mutex::new(7);
+    // Direct mutex check: panic while holding the guard, then lock again.
+    let m = cds_sync::Mutex::new(7);
     assert!(crash_worker(&m, |m| {
         let _guard = m.lock();
         panic!("die holding the lock");
     }));
-    assert_eq!(*m.lock(), 7, "shim must recover a poisoned lock");
+    assert_eq!(*m.lock(), 7, "a crashed holder must release the lock");
 
     // Structure-level check: a storm thread panics mid-run; the coarse
     // (single-mutex) queue keeps serving the survivors and the foreground.
