@@ -14,6 +14,9 @@
 //!    *before* `shutdown` (joining blocks in the kernel), then drop the
 //!    run.
 //!
+//! `scoped` runs through the same recipe: the driver is the gathering
+//! caller, and every range task runs on a registered worker.
+//!
 //! The counters are global, so every test takes the [`serial`] lock and
 //! measures through baseline/delta snapshot pairs.
 
@@ -140,6 +143,34 @@ fn scheduled_tiny_injector_overflows_without_loss() {
             "32 spawns against a 2-slot injector never overflowed"
         );
     }
+}
+
+/// A pinned-seed `scoped` round on two reclamation backends: 20 jobs on
+/// 3 workers split into `min(20, 4 × 3) = 12` contiguous range tasks
+/// (eight of two jobs, four of one). Results come back in submission
+/// order, and each range, not each job, is one spawned and executed task.
+#[test]
+fn scheduled_scoped_gathers_ranges_in_order() {
+    let _guard = serial();
+
+    fn case<R: Reclaimer>(seed: u64) {
+        const JOBS: u64 = 20;
+        const RANGES: u64 = 12;
+        let mut out = Vec::new();
+        let (delta, spawned, executed) = run_scheduled::<R>(seed, 8, |pool| {
+            out = pool.scoped((0..JOBS).map(|i| move || i * i + 1).collect());
+        });
+        let expect: Vec<u64> = (0..JOBS).map(|i| i * i + 1).collect();
+        assert_eq!(out, expect, "{}", R::NAME);
+        assert_eq!((spawned, executed), (RANGES, RANGES), "{}", R::NAME);
+        if cds_obs::enabled() {
+            assert_eq!(delta.get(Event::ExecTasksSpawned), RANGES, "{}", R::NAME);
+            assert_eq!(delta.get(Event::ExecTasksExecuted), RANGES, "{}", R::NAME);
+        }
+    }
+
+    case::<Ebr>(0x5c0e0);
+    case::<Hazard>(0x5c0e1);
 }
 
 /// Replayability: two runs with the same schedule seed, pool seed, and
